@@ -17,20 +17,20 @@ from .config import CacheConfig
 
 
 class State(enum.IntEnum):
-    """Coherence state of a cached block (MOSI superset)."""
+    """Coherence state of a cached block (MOSI superset).
+
+    ``is_valid`` and ``is_dirty`` are plain member attributes set once at
+    class creation, not properties: the protocol tests them on every access.
+    """
 
     INVALID = 0
     SHARED = 1
     OWNED = 2
     MODIFIED = 3
 
-    @property
-    def is_dirty(self) -> bool:
-        return self in (State.OWNED, State.MODIFIED)
-
-    @property
-    def is_valid(self) -> bool:
-        return self is not State.INVALID
+    def __init__(self, value: int) -> None:
+        self.is_valid: bool = value != 0
+        self.is_dirty: bool = value in (2, 3)  # OWNED or MODIFIED
 
 
 class Cache:

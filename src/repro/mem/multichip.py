@@ -8,6 +8,17 @@ misses** — reads that miss in a node's L2 — classified with the extended
 
 Like the paper's trace-collection mode, the model is functional and
 timing-free: accesses are processed in program order with no stalls.
+
+Like a real DSM, the model keeps a **sharer directory**
+(:mod:`repro.mem.directory`): one bitmask per block with bit ``i`` set while
+node ``i`` holds the block in its L1 or L2.  Every fill sets the node's bit;
+an evicted victim loses it once neither of the node's levels holds the
+block.  Remote downgrades on a read miss, invalidations on a write, and the
+invalidations of an I/O write therefore visit only the sharers, in ascending
+node order, instead of probing all 16 nodes' caches.  The directory is
+derived state: :meth:`MultiChipSystem.snapshot` leaves it out and
+:meth:`MultiChipSystem.restore` rebuilds it from the restored caches, so the
+checkpoint format does not depend on it.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from typing import Dict, Iterable, List, Optional
 from .cache import Cache, State
 from .classify import BlockHistory
 from .config import SystemConfig
+from .directory import Directory, drop_sharer, nodes_of, residency
 from .records import Access, AccessKind, MissRecord
 from .stream import StreamingSystemMixin
 from .trace import AccessTrace, MissTrace, MULTI_CHIP
@@ -33,6 +45,8 @@ class MultiChipSystem(StreamingSystemMixin):
                                  for i in range(self.n_nodes)]
         self.l2s: List[Cache] = [Cache(config.l2, name=f"node{i}.l2")
                                  for i in range(self.n_nodes)]
+        #: Sharer directory over both levels (derived from the caches).
+        self._sharers: Directory = {}
         self.history = BlockHistory()
         self._offchip = MissTrace(MULTI_CHIP)
         self._instructions = 0
@@ -124,6 +138,7 @@ class MultiChipSystem(StreamingSystemMixin):
             cache.restore(cache_state)
         for cache, cache_state in zip(self.l2s, state["l2s"]):
             cache.restore(cache_state)
+        self._sharers = residency(list(zip(self.l1s, self.l2s)))
         self.history.restore(state["history"])
         self._offchip = MissTrace.from_state_dict(state["offchip"])
         self._instructions = int(state["instructions"])
@@ -150,7 +165,7 @@ class MultiChipSystem(StreamingSystemMixin):
         if l2.lookup(block).is_valid:
             # L2 hit: refill L1 in SHARED (or keep M state at L2 only; the
             # trace analyses only need hit/miss behaviour).
-            self._fill(l1, block, State.SHARED)
+            self._fill(node, l1, l2, block, State.SHARED)
             self.history.record_access(node, block)
             return
         # Off-chip miss: classify before updating history.
@@ -160,32 +175,31 @@ class MultiChipSystem(StreamingSystemMixin):
                                             block=block, miss_class=miss_class,
                                             fn=access.fn))
         # Remote dirty copies are downgraded to SHARED by the MSI protocol.
-        for other in range(self.n_nodes):
-            if other == node:
-                continue
+        # This node holds neither level, so every sharer is remote.
+        for other in nodes_of(self._sharers.get(block, 0)):
             if self.l1s[other].peek(block) == State.MODIFIED:
                 self.l1s[other].downgrade(block)
             if self.l2s[other].peek(block) == State.MODIFIED:
                 self.l2s[other].downgrade(block)
-        self._fill(l2, block, State.SHARED)
-        self._fill(l1, block, State.SHARED)
+        self._fill(node, l2, l1, block, State.SHARED)
+        self._fill(node, l1, l2, block, State.SHARED)
         self.history.record_access(node, block)
 
     def _cpu_write(self, node: int, block: int) -> None:
-        # Invalidate every other node's copies (MSI upgrade/invalidate).
-        for other in range(self.n_nodes):
-            if other == node:
-                continue
+        # Invalidate every other sharer's copies (MSI upgrade/invalidate);
+        # the fills below re-enter this node as the only sharer.
+        for other in nodes_of(self._sharers.pop(block, 0) & ~(1 << node)):
             self.l1s[other].invalidate(block)
             self.l2s[other].invalidate(block)
-        self._fill(self.l2s[node], block, State.MODIFIED)
-        self._fill(self.l1s[node], block, State.MODIFIED)
+        l1, l2 = self.l1s[node], self.l2s[node]
+        self._fill(node, l2, l1, block, State.MODIFIED)
+        self._fill(node, l1, l2, block, State.MODIFIED)
         self.history.record_cpu_write(node, block)
 
     def _io_write(self, access: Access, block: int) -> None:
         # DMA and copyout stores write memory without allocating anywhere
         # and invalidate all cached copies.
-        for node in range(self.n_nodes):
+        for node in nodes_of(self._sharers.pop(block, 0)):
             self.l1s[node].invalidate(block)
             self.l2s[node].invalidate(block)
         self.history.record_io_write(block)
@@ -201,6 +215,15 @@ class MultiChipSystem(StreamingSystemMixin):
         self.history.record_accesses(node, block, count)
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fill(cache: Cache, block: int, state: State) -> None:
-        cache.fill(block, state)
+    def _fill(self, node: int, cache: Cache, other: Cache, block: int,
+              state: State) -> None:
+        """Fill ``block`` into ``cache``, one of ``node``'s two levels.
+
+        Sets ``node``'s directory bit for ``block``.  An evicted victim
+        keeps the bit while ``other`` (the node's other level) holds it.
+        """
+        victim = cache.fill(block, state)
+        sharers = self._sharers
+        sharers[block] = sharers.get(block, 0) | (1 << node)
+        if victim is not None and not other.peek(victim[0]).is_valid:
+            drop_sharer(sharers, victim[0], node)

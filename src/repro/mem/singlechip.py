@@ -15,6 +15,15 @@ shared 16-way L2.  Two miss traces come out of it:
 The hierarchy is non-inclusive: a block may live in an L1 without being in
 the L2 (the L2 is filled on L1 refills but L2 evictions do not back-
 invalidate the L1s).
+
+The chip keeps a **sharer directory** over the L1s
+(:mod:`repro.mem.directory`): one bitmask per block with bit ``i`` set while
+core ``i``'s L1 holds it, kept current on every L1 fill, victim eviction and
+invalidation.  The peer-supplier search walks the sharers in ascending core
+order (so the first dirty peer by index still supplies), and write and I/O
+invalidations visit only the sharers.  The directory is derived state:
+:meth:`SingleChipSystem.snapshot` leaves it out and
+:meth:`SingleChipSystem.restore` rebuilds it from the restored L1s.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from typing import Dict, Iterable, List, Tuple
 from .cache import Cache, State
 from .classify import BlockHistory
 from .config import SystemConfig
+from .directory import Directory, drop_sharer, nodes_of, residency
 from .records import Access, AccessKind, IntraChipClass, MissClass, MissRecord
 from .stream import StreamingSystemMixin
 from .trace import AccessTrace, MissTrace, INTRA_CHIP, SINGLE_CHIP
@@ -43,6 +53,8 @@ class SingleChipSystem(StreamingSystemMixin):
         self.l1s: List[Cache] = [Cache(config.l1, name=f"core{i}.l1")
                                  for i in range(self.n_cores)]
         self.l2 = Cache(config.l2, name="shared.l2")
+        #: Sharer directory over the L1s (derived from the caches).
+        self._sharers: Directory = {}
         #: Chip-level history for off-chip classification.
         self.chip_history = BlockHistory()
         #: Per-core history for intra-chip coherence-vs-replacement decisions.
@@ -143,6 +155,7 @@ class SingleChipSystem(StreamingSystemMixin):
         for cache, cache_state in zip(self.l1s, state["l1s"]):
             cache.restore(cache_state)
         self.l2.restore(state["l2"])
+        self._sharers = residency([[cache] for cache in self.l1s])
         self.chip_history.restore(state["chip_history"])
         self.core_history.restore(state["core_history"])
         self._offchip = MissTrace.from_state_dict(state["offchip"])
@@ -176,9 +189,10 @@ class SingleChipSystem(StreamingSystemMixin):
         is_coherence = core_class == MissClass.COHERENCE
 
         # Find a dirty peer copy (MOSI: M or O states can supply data).
+        # This core's L1 misses, so every sharer is a peer.
         peer_supplier = None
-        for other in range(self.n_cores):
-            if other != core and self.l1s[other].peek(block).is_dirty:
+        for other in nodes_of(self._sharers.get(block, 0)):
+            if self.l1s[other].peek(block).is_dirty:
                 peer_supplier = other
                 break
 
@@ -219,9 +233,9 @@ class SingleChipSystem(StreamingSystemMixin):
     def _cpu_write(self, core: int, block: int) -> None:
         # Invalidate peer copies; write-allocate into this core's L1 and the
         # shared L2 (write-back, write-allocate).
-        for other in range(self.n_cores):
-            if other != core:
-                self.l1s[other].invalidate(block)
+        # The fill below re-enters this core as the only sharer.
+        for other in nodes_of(self._sharers.pop(block, 0) & ~(1 << core)):
+            self.l1s[other].invalidate(block)
         self._fill_l1(core, block, State.MODIFIED)
         if self.l2.peek(block).is_valid:
             self.l2.set_state(block, State.MODIFIED)
@@ -231,7 +245,7 @@ class SingleChipSystem(StreamingSystemMixin):
         # the chip-level history records it as a plain access, not a write.
 
     def _io_write(self, block: int) -> None:
-        for core in range(self.n_cores):
+        for core in nodes_of(self._sharers.pop(block, 0)):
             self.l1s[core].invalidate(block)
         self.l2.invalidate(block)
         self.core_history.record_io_write(block)
@@ -251,8 +265,11 @@ class SingleChipSystem(StreamingSystemMixin):
     # ------------------------------------------------------------------ #
     def _fill_l1(self, core: int, block: int, state: State) -> None:
         victim = self.l1s[core].fill(block, state)
+        sharers = self._sharers
+        sharers[block] = sharers.get(block, 0) | (1 << core)
         if victim is not None:
             victim_block, victim_state = victim
+            drop_sharer(sharers, victim_block, core)
             # Non-inclusive hierarchy: dirty L1 victims are written back to
             # the shared L2 so their data is not lost.
             if victim_state.is_dirty and not self.l2.peek(victim_block).is_valid:

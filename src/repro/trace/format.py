@@ -65,6 +65,11 @@ COLUMN_DTYPES = {
 }
 
 
+#: ``AccessKind`` member by column value: a dict lookup, not an enum call,
+#: because access reconstruction runs once per simulated access run.
+_KINDS = {int(kind): kind for kind in AccessKind}
+
+
 def segment_name(index: int) -> str:
     """File name of epoch segment ``index`` inside a trace directory."""
     return f"seg-{index:05d}.npz"
@@ -143,7 +148,7 @@ class ColumnarChunk:
                    cols["icount"].tolist())
         for cpu, addr, size, kind, fn_id, thread, icount in rows:
             yield Access(cpu=cpu, addr=addr, size=size,
-                         kind=AccessKind(kind), fn=ref(fn_id),
+                         kind=_KINDS[kind], fn=ref(fn_id),
                          thread=thread, icount=icount)
 
     def accesses_at(self, indices: np.ndarray) -> List[Access]:
@@ -160,7 +165,7 @@ class ColumnarChunk:
                    cols["size"][indices].tolist(), cols["kind"][indices].tolist(),
                    cols["fn"][indices].tolist(), cols["thread"][indices].tolist(),
                    cols["icount"][indices].tolist())
-        return [Access(cpu=cpu, addr=addr, size=size, kind=AccessKind(kind),
+        return [Access(cpu=cpu, addr=addr, size=size, kind=_KINDS[kind],
                        fn=ref(fn_id), thread=thread, icount=icount)
                 for cpu, addr, size, kind, fn_id, thread, icount in rows]
 
@@ -240,8 +245,12 @@ def write_segment(path: Path, columns: Dict[str, np.ndarray]) -> None:
 
 
 def read_segment(path: Path) -> Dict[str, np.ndarray]:
-    """Read one epoch segment back into its column arrays."""
-    with np.load(path) as npz:
+    """Read one epoch segment back into its column arrays.
+
+    The file is opened here, not by ``np.load``: a truncated segment makes
+    ``np.load`` raise after it has taken a path-opened handle, leaking it.
+    """
+    with open(path, "rb") as fh, np.load(fh) as npz:
         return {name: npz[name] for name in COLUMNS}
 
 

@@ -155,6 +155,11 @@ class TestTraceReader:
         with pytest.raises(TraceCorruptError, match="format version"):
             TraceReader(reader.path)
 
+    # The leaked handle surfaces when it is garbage-collected, as an
+    # unraisable ResourceWarning; both filters turn it into a failure.
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
     def test_truncated_segment_detected(self, tmp_path, accesses):
         reader = self._capture(tmp_path, accesses, epoch_size=32)
         seg = reader.path / segment_name(0)
