@@ -56,6 +56,7 @@ Two submission levels:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
@@ -242,6 +243,67 @@ _STAGE_FNS = {"capture": _stage_capture,
               "simulate": _stage_simulate}
 
 
+# --------------------------------------------------------------------------- #
+# the single stage entry point
+# --------------------------------------------------------------------------- #
+class CollectorPause:
+    """Hold off CPython's cyclic garbage collector while stages run.
+
+    The simulators keep large long-lived state (per-block classification
+    history, LRU cache sets, miss traces, memoised bundles) that every full
+    collection walks again and almost never frees.  Inside the pause,
+    reference counting still frees acyclic garbage at once; only cycle
+    detection waits.  The outermost exit restores the collector state the
+    outermost entry found.  If that state was *enabled*, every exit runs
+    one collection, nested ones included: a stage's cyclic garbage (mostly
+    Sequitur grammar nodes) is freed before the process takes its next
+    stage, also when a serial stage runs inside the scheduler's pause.  A
+    caller that had disabled the collector keeps it disabled and gets no
+    collection.
+
+    The collector is one switch for the whole interpreter, so entries from
+    concurrent threads share one depth count under a lock: the last thread
+    to leave restores the state.  A child forked inside the pause (a
+    process-pool worker) starts with the depth at zero and the found state
+    restored, so its own stages pause and collect like the parent's.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> "CollectorPause":
+        with self._lock:
+            if self.depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self.depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self.depth -= 1
+            collect = self._was_enabled
+            if collect and not self.depth:
+                gc.enable()
+        if collect:
+            gc.collect()
+
+    def _after_fork_in_child(self) -> None:
+        # The parent's lock may have been held by another thread at fork.
+        self._lock = threading.Lock()
+        if self.depth:
+            self.depth = 0
+            if self._was_enabled:
+                gc.enable()
+
+
+#: The process-wide pause :func:`run_stage` and the plan scheduler hold.
+COLLECTOR_PAUSE = CollectorPause()
+os.register_at_fork(after_in_child=COLLECTOR_PAUSE._after_fork_in_child)
+
+
 def run_stage(kind: str, params: Dict[str, Any],
               config: Dict[str, Any]) -> Tuple[str, Any]:
     """Execute one backend-run stage; returns ``(status, payload)``.
@@ -249,7 +311,8 @@ def run_stage(kind: str, params: Dict[str, Any],
     The single entry point every backend funnels through — inline, in a
     pool worker, or deserialised from a dispatch work item — so a stage's
     result is a pure function of ``(kind, params, config)`` and backends
-    stay interchangeable.
+    stay interchangeable.  The stage body runs inside
+    :data:`COLLECTOR_PAUSE`.
     """
     try:
         fn = _STAGE_FNS[kind]
@@ -257,23 +320,26 @@ def run_stage(kind: str, params: Dict[str, Any],
         raise ValueError(f"no backend work function for stage kind {kind!r} "
                          f"(backend kinds: {', '.join(_STAGE_FNS)})") from None
     run_id = config.get("telemetry_run_id")
-    if not run_id:
-        return fn(params, config)
+    store = None
+    if run_id:
+        from ..obs import get_telemetry_store
+        store = get_telemetry_store(config.get("cache_dir"))
+    if store is None:
+        with COLLECTOR_PAUSE:
+            return fn(params, config)
     # Worker-origin span: the stage's actual compute cost, measured in
     # whichever process runs it (the serial parent, a pool worker, an
     # embedded dispatch worker, or a remote `repro worker`) and appended to
-    # the run's shared spans.jsonl.  Telemetry must never fail the stage, so
-    # a broken telemetry store only loses the span.
-    from ..obs import Span, get_telemetry_store, maybe_profile
-    store = get_telemetry_store(config.get("cache_dir"))
-    if store is None:
-        return fn(params, config)
+    # the run's shared spans.jsonl.  It includes the collection the pause
+    # runs on exit.  Telemetry must never fail the stage, so a broken
+    # telemetry store only loses the span.
+    from ..obs import Span, maybe_profile
     stage_key = config.get("stage_key", kind)
     prof_path = (store.profile_path(run_id, stage_key)
                  if config.get("profile") else None)
     span = Span(kind, params, stage=stage_key, origin="worker").begin()
     try:
-        with maybe_profile(prof_path):
+        with maybe_profile(prof_path), COLLECTOR_PAUSE:
             status, payload = fn(params, config)
     except Exception as exc:
         span.finish("failed", error=exc)

@@ -548,7 +548,7 @@ def execute_plan(plan: Plan, session, executor=None,
     they produce — is unchanged; only the submission order moves, so
     artifacts stay bit-identical to FIFO and to the serial backend.
     """
-    from .executor import BACKEND_KINDS, resolve_executor
+    from .executor import BACKEND_KINDS, COLLECTOR_PAUSE, resolve_executor
 
     events = events if events is not None else PlanEvents()
     result = PlanResult(spec=plan.spec, plan=plan)
@@ -631,36 +631,40 @@ def execute_plan(plan: Plan, session, executor=None,
             events = _ComposedEvents(SpanRecorder(sink=telem.span_sink(run_id)),
                                      events)
         events.on_plan_start(plan, run_id)
-        while ready or pending:
-            while ready:
-                stage = pop_ready()
-                events.on_stage_start(stage)
-                if stage.kind in BACKEND_KINDS:
-                    pending[backend.submit(stage)] = stage
-                    continue
-                prof_path = (telem.profile_path(run_id, stage.key)
-                             if profile and run_id is not None else None)
-                try:
-                    with maybe_profile(prof_path):
-                        status, payload = _run_inline_stage(stage, session,
-                                                            payloads, result)
-                except Exception as error:  # noqa: BLE001 - recorded
-                    fail(stage, error)
-                else:
-                    settle(stage, status, payload)
-            if not pending:
-                continue  # inline completions may have readied more stages
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            # Settle in submission order for deterministic event sequences
-            # when several futures completed in one wait.
-            for future in [f for f in list(pending) if f in done]:
-                stage = pending.pop(future)
-                try:
-                    status, payload = backend.finalize(stage, future.result())
-                except Exception as error:  # noqa: BLE001 - recorded
-                    fail(stage, error)
-                else:
-                    settle(stage, status, payload)
+        # The collector pause also covers the pool's result thread, which
+        # unpickles the bundles workers return (see CollectorPause).
+        with COLLECTOR_PAUSE:
+            while ready or pending:
+                while ready:
+                    stage = pop_ready()
+                    events.on_stage_start(stage)
+                    if stage.kind in BACKEND_KINDS:
+                        pending[backend.submit(stage)] = stage
+                        continue
+                    prof_path = (telem.profile_path(run_id, stage.key)
+                                 if profile and run_id is not None else None)
+                    try:
+                        with maybe_profile(prof_path):
+                            status, payload = _run_inline_stage(
+                                stage, session, payloads, result)
+                    except Exception as error:  # noqa: BLE001 - recorded
+                        fail(stage, error)
+                    else:
+                        settle(stage, status, payload)
+                if not pending:
+                    continue  # inline completions may have readied more
+                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                # Settle in submission order for deterministic event
+                # sequences when several futures completed in one wait.
+                for future in [f for f in list(pending) if f in done]:
+                    stage = pending.pop(future)
+                    try:
+                        status, payload = backend.finalize(stage,
+                                                           future.result())
+                    except Exception as error:  # noqa: BLE001 - recorded
+                        fail(stage, error)
+                    else:
+                        settle(stage, status, payload)
     if telem is not None and run_id is not None:
         telem.update_manifest(run_id, finished_at=iso_utc(),
                               wall_s=round(time.perf_counter() - wall0, 6),

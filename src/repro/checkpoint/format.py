@@ -80,17 +80,28 @@ def parse_chain_name(name: str) -> int:
     return int(digits) if digits.isdigit() else -1
 
 
-def encode_chunk(payload: Any) -> Tuple[str, bytes]:
-    """Serialise one section payload into ``(digest, blob)``.
+def chunk_digest(payload: Any) -> Tuple[str, bytes]:
+    """Pickle one section payload; returns ``(digest, raw pickle)``.
 
     The digest addresses the *uncompressed* pickle, so identical payloads
     dedupe to one chunk file regardless of when (or by which run) they were
-    written; the blob is the same deterministic gzip framing full
-    checkpoints use (``mtime=0``, level 1).
+    written.  A writer checks the digest before paying for compression.
     """
     raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(raw).hexdigest()
-    return digest, gzip.compress(raw, compresslevel=1, mtime=0)
+    return hashlib.sha256(raw).hexdigest(), raw
+
+
+def compress_chunk(raw: bytes) -> bytes:
+    """The chunk blob of a raw pickle from :func:`chunk_digest`: the same
+    deterministic gzip framing full checkpoints use (``mtime=0``, level 1).
+    """
+    return gzip.compress(raw, compresslevel=1, mtime=0)
+
+
+def encode_chunk(payload: Any) -> Tuple[str, bytes]:
+    """Serialise one section payload into ``(digest, blob)``."""
+    digest, raw = chunk_digest(payload)
+    return digest, compress_chunk(raw)
 
 
 def decode_chunk(blob: bytes, digest: str) -> Any:

@@ -41,9 +41,10 @@ from ..cachedir import default_cache_root, params_slug
 from ..obs.metrics import REGISTRY
 from ..trace.format import DEFAULT_EPOCH_SIZE
 from .format import (CHECKPOINT_FORMAT_VERSION, CheckpointCorruptError,
-                     chain_name, checkpoint_name, decode_checkpoint,
-                     decode_chunk, encode_checkpoint, encode_chunk,
-                     parse_chain_name, parse_checkpoint_name)
+                     chain_name, checkpoint_name, chunk_digest,
+                     compress_chunk, decode_checkpoint, decode_chunk,
+                     encode_checkpoint, parse_chain_name,
+                     parse_checkpoint_name)
 
 #: Subdirectory of the cache root holding all checkpoint versions.
 CHECKPOINTS_SUBDIR = "checkpoints"
@@ -138,15 +139,16 @@ class CheckpointStore:
 
         A chunk whose digest already exists on disk is not rewritten —
         that is the whole-point dedupe between consecutive boundaries of
-        one run and between runs sharing a simulation prefix.
+        one run and between runs sharing a simulation prefix.  The digest
+        is taken before compressing, so a dedupe hit never compresses.
         """
-        digest, blob = encode_chunk(payload)
+        digest, raw = chunk_digest(payload)
         path = self.chunk_path(digest)
         if path.is_file():
             STATS.chunk_dedup_hits += 1
             return digest
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(path, blob)
+        self._write_atomic(path, compress_chunk(raw))
         STATS.chunk_writes += 1
         return digest
 
